@@ -9,13 +9,17 @@ summarise every end-to-end metric's median, quartiles and spread.
 Run from the repository root. Seeds are 1..runs. The spread is the
 interquartile distance as a share of the median, from
 statistics.quantiles(values, n=4); the bound is BENCHMARK.json's. Traced
-runs (seeds 1..traced) report the tracing overhead. Raw results go to
-.bench_run/repeat.json; --out writes the Markdown report.
+runs (seeds 1..traced) report the tracing overhead. For tier_dup the
+report also gives each ladder rate's p99 over the runs and the goodput
+the same runs would give at other latency limits: the record the limit
+was calibrated from. Raw results go to .bench_run/repeat.json; --out
+writes the Markdown report.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -23,6 +27,11 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+# tier_dup's per-rate summary line (tier_dup.cc, climbLadder).
+RATE_LINE = re.compile(
+    r"^phase rate_([\d.]+)\s+sent\s+\d+ succeeded\s+\d+ failed\s+(\d+) "
+    r"median of (\d+) windows: .* p99 ([\d.]+) ms, backlog grew in (\d+)")
+LIMITS_MS = (25, 50, 75, 100, 150)
 
 
 def run_once(workload, seed, seconds, trace):
@@ -39,7 +48,44 @@ def run_once(workload, seed, seconds, trace):
                  f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
     res = json.loads(lines[-1])
     res["wall_s"] = wall
+    res["rates"] = [dict(rps=float(m[1]), failed=int(m[2]), windows=int(m[3]),
+                         p99=float(m[4]), grew=int(m[5]))
+                    for m in map(RATE_LINE.match, lines) if m]
     return res
+
+
+def goodput(rates, limit):
+    """tier_dup's goodput_rps rule (tier_dup.cc, goodput) at `limit`."""
+    def meets(r):
+        return (not r["failed"] and 2 * r["grew"] <= r["windows"]
+                and r["p99"] <= limit)
+    if not meets(rates[0]):
+        return rates[0]["rps"] * min(1.0, limit / rates[0]["p99"])
+    for a, b in zip(rates, rates[1:]):
+        if meets(b):
+            continue
+        if b["failed"] or b["p99"] <= a["p99"]:
+            return a["rps"]
+        f = (limit - a["p99"]) / (b["p99"] - a["p99"])
+        return a["rps"] + (b["rps"] - a["rps"]) * min(1.0, max(0.0, f))
+    return rates[-1]["rps"]
+
+
+def calibration(runs):
+    """Markdown tables: p99 per ladder rate, goodput per candidate limit."""
+    out = ["| rate (req/s) | runs | p99 median (ms) | p99 min-max (ms) |",
+           "|---|---|---|---|"]
+    for rps in sorted({r["rps"] for run in runs for r in run["rates"]}):
+        v = [r["p99"] for run in runs for r in run["rates"] if r["rps"] == rps]
+        out.append(f"| {rps:g} | {len(v)} | {statistics.median(v):.1f} | "
+                   f"{min(v):.1f}-{max(v):.1f} |")
+    out += ["", "| limit (ms) | goodput median (req/s) | q1 | q3 | spread |",
+            "|---|---|---|---|---|"]
+    for limit in LIMITS_MS:
+        s = summarise([goodput(run["rates"], limit) for run in runs])
+        out.append(f"| {limit} | {s['median']:.0f} | {s['q1']:.0f} | "
+                   f"{s['q3']:.0f} | {s['spread']:.3f} |")
+    return out
 
 
 def summarise(values):
@@ -70,6 +116,7 @@ def main():
         traced = [run_once(w, s, bench["run_seconds"], 1)
                   for s in range(1, a.traced + 1)]
         raw[w] = {"untraced": runs, "traced": traced}
+        start = len(lines)
         lines += [f"## {w}", "",
                   "| metric | median | q1 | q3 | spread | bound |",
                   "|---|---|---|---|---|---|"]
@@ -90,7 +137,9 @@ def main():
                          f"{len(ov)} traced runs): "
                          + ", ".join(f"{v:+.3f}" for v in ov) + ".")
         lines.append("")
-        print("\n".join(lines[-(len(bounds) + 7):]), flush=True)
+        if all(r["rates"] for r in runs):
+            lines += calibration(runs) + [""]
+        print("\n".join(lines[start:]), flush=True)
     os.makedirs(os.path.join(ROOT, ".bench_run"), exist_ok=True)
     with open(os.path.join(ROOT, ".bench_run", "repeat.json"), "w") as f:
         json.dump(raw, f)

@@ -5,14 +5,13 @@
 
 Run from the repository root. Configures and builds perfbench/ (which
 compiles the library from ../src) into $CARGO_TARGET_DIR, default
-.bench_build, then runs the benchmark binary with the workload's rate
-ladder and latency limit from perfbench/config.json. The binary's
-standard output is passed through; its last line is the result object.
-Traced runs write their spans to .bench_run/.
+.bench_build (a relative path is taken from the repository root), then
+runs the benchmark binary. The binary's standard output is passed
+through; its last line is the result object. Traced runs write their
+spans to .bench_run/.
 """
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -24,43 +23,12 @@ BUILD_TIMEOUT_S = 840
 RUN_TIMEOUT_S = 170
 
 
-def load_config(path=os.path.join(HERE, "config.json")):
-    with open(path) as f:
-        return json.load(f)
-
-
-def fmt_rate(r):
-    return repr(float(r)).rstrip("0").rstrip(".")
-
-
-def binary_args(workload, seed, seconds, trace, config):
-    """The benchmark binary's arguments: the ladder, the high rung and
-    the latency limit come verbatim from the committed config."""
-    args = ["--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
-    if workload in config:
-        c = config[workload]
-        args += ["--ladder", ",".join(fmt_rate(r) for r in c["ladder_rps"]),
-                 "--high-rps", fmt_rate(c["high_rps"]),
-                 "--limit-ms", fmt_rate(c["limit_ms"])]
-    if trace:
-        args += ["--trace-out",
-                 os.path.join(".bench_run", f"trace-{workload}-{seed}.json")]
-    return args
-
-
-def build_dir():
-    d = os.environ.get("CARGO_TARGET_DIR", ".bench_build")
-    if os.path.isabs(d) or ".." in d.split(os.sep):
-        d = ".bench_build"
-    return os.path.join(ROOT, d)
-
-
 def build():
     """Configure once, then build incrementally; logs go to stderr."""
     if not os.path.isfile(os.path.join(ROOT, "src", "CMakeLists.txt")):
         sys.exit("perfbench: the library sources (src/) are missing")
-    out = build_dir()
+    out = os.path.join(ROOT,
+                       os.environ.get("CARGO_TARGET_DIR") or ".bench_build")
     steps = []
     if not os.path.isfile(os.path.join(out, "CMakeCache.txt")):
         steps.append(["cmake", "-S", HERE, "-B", out,
@@ -87,11 +55,13 @@ def main():
     a = ap.parse_args()
     if a.seed < 0 or not 1 <= a.seconds <= 60:
         sys.exit("perfbench: --seed must be >= 0 and --seconds in 1..60")
-    config = load_config()
     binary = build()
     os.makedirs(os.path.join(ROOT, ".bench_run"), exist_ok=True)
-    cmd = [binary] + binary_args(a.workload, a.seed, a.seconds, a.trace,
-                                 config)
+    cmd = [binary, "--workload", a.workload, "--seed", str(a.seed),
+           "--seconds", str(a.seconds), "--trace", str(a.trace)]
+    if a.trace:
+        cmd += ["--trace-out", os.path.join(
+            ".bench_run", f"trace-{a.workload}-{a.seed}.json")]
     try:
         rc = subprocess.run(cmd, cwd=ROOT, timeout=RUN_TIMEOUT_S).returncode
     except subprocess.TimeoutExpired:

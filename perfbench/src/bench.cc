@@ -1,5 +1,6 @@
 #include "bench.h"
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "common/cpu.h"
@@ -20,6 +20,9 @@ extern char **environ;
 namespace perfbench {
 
 namespace {
+
+constexpr int kMallocMmapThreshold = 256 << 20; //!< above any one buffer
+constexpr int kMallocTrimThreshold = 1 << 30;
 
 bool
 parseDouble(const char *text, double *out)
@@ -41,26 +44,6 @@ fmtNumber(double v)
 }
 
 } // namespace
-
-bool
-parseRates(const std::string &text, std::vector<double> *out)
-{
-    std::vector<double> rates;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        double r = 0.0;
-        if (!parseDouble(item.c_str(), &r) || r <= 0.0)
-            return false;
-        if (!rates.empty() && r <= rates.back())
-            return false;
-        rates.push_back(r);
-    }
-    if (rates.empty())
-        return false;
-    *out = std::move(rates);
-    return true;
-}
 
 std::string
 parseOptions(int argc, char **argv, Options *out)
@@ -89,16 +72,6 @@ parseOptions(int argc, char **argv, Options *out)
             if (std::strcmp(val, "0") != 0 && std::strcmp(val, "1") != 0)
                 return "--trace wants 0 or 1";
             o.trace = val[0] == '1';
-        } else if (arg == "--ladder") {
-            if (!parseRates(val, &o.ladder))
-                return "--ladder wants ascending positive rates, e.g. "
-                       "40,80,120";
-        } else if (arg == "--high-rps") {
-            if (!parseDouble(val, &o.highRps) || o.highRps <= 0.0)
-                return "--high-rps wants a positive rate";
-        } else if (arg == "--limit-ms") {
-            if (!parseDouble(val, &o.limitMs) || o.limitMs <= 0.0)
-                return "--limit-ms wants a positive latency";
         } else if (arg == "--trace-out") {
             o.traceOut = val;
         } else {
@@ -109,13 +82,6 @@ parseOptions(int argc, char **argv, Options *out)
         return "--workload and --seed are required";
     if (o.workload != "rollout_zoo" && o.workload != "tier_dup")
         return "unknown workload " + o.workload;
-    if (o.workload != "rollout_zoo") {
-        if (o.ladder.empty() || o.limitMs <= 0.0 || o.highRps <= 0.0)
-            return o.workload + " needs --ladder, --high-rps and --limit-ms";
-        if (std::find(o.ladder.begin(), o.ladder.end(), o.highRps) ==
-            o.ladder.end())
-            return "--high-rps must be one of the ladder rates";
-    }
     *out = std::move(o);
     return {};
 }
@@ -227,6 +193,12 @@ geomean(const std::vector<double> &v)
     for (double x : v)
         s += std::log(x);
     return std::exp(s / static_cast<double>(v.size()));
+}
+
+double
+rolloutTimeMs(const std::vector<double> &ms)
+{
+    return percentile(ms, 0.10);
 }
 
 Tracer::Tracer(bool on) : on_(on), epoch_(Clock::now())
@@ -438,6 +410,9 @@ pinEnvironment(const std::string &workload)
     }
     setenv("DITTO_NO_CACHE", "1", 1);
     setenv("DITTO_NUM_THREADS", threads.c_str(), 1);
+    if (mallopt(M_MMAP_THRESHOLD, kMallocMmapThreshold) != 1 ||
+        mallopt(M_TRIM_THRESHOLD, kMallocTrimThreshold) != 1)
+        return "cannot pin the malloc thresholds";
     return {};
 }
 
@@ -451,6 +426,9 @@ stampEnvironment(Report *rep)
     rep->environment["nproc"] =
         std::to_string(std::thread::hardware_concurrency());
     rep->environment["threads"] = std::getenv("DITTO_NUM_THREADS");
+    rep->environment["malloc"] =
+        "mmap_threshold=" + std::to_string(kMallocMmapThreshold) +
+        " trim_threshold=" + std::to_string(kMallocTrimThreshold);
     rep->environment["simd"] =
         ditto::simd::levelName(ditto::simd::activeLevel());
     rep->environment["cpu_features"] = ditto::cpuFeatureSummary();

@@ -47,11 +47,6 @@ struct Options
     uint64_t seed = 1;
     double seconds = 30.0;
     bool trace = false;
-
-    /** Absolute arrival rates in req/s, ascending (tier_dup). */
-    std::vector<double> ladder;
-    double highRps = 0.0; //!< the fixed high-rate rung
-    double limitMs = 0.0; //!< p99 latency limit that defines goodput
     std::string traceOut; //!< span dump path (traced runs)
 };
 
@@ -60,9 +55,6 @@ struct Options
  * the reason the command line was refused.
  */
 std::string parseOptions(int argc, char **argv, Options *out);
-
-/** Parse "40,80,120" into ascending rates; false on malformed input. */
-bool parseRates(const std::string &text, std::vector<double> *out);
 
 /** splitmix64: the benchmark's own deterministic generator. */
 class SeededRng
@@ -117,6 +109,15 @@ std::vector<Arrival> poissonSchedule(uint64_t seed, int phase, double rps,
 double percentile(std::vector<double> v, double q);
 double median(std::vector<double> v);
 double geomean(const std::vector<double> &v);
+
+/**
+ * A model's rollout time from the rollouts timed in one run: their
+ * 10th percentile. The shared host alternates between a fast and a
+ * ~1.5x slower regime for seconds at a time (CPU steal), and the share
+ * of slow time drifts between runs, which moves medians by up to 30%
+ * while the fast-regime time stays put (README.md).
+ */
+double rolloutTimeMs(const std::vector<double> &ms);
 
 /**
  * Span recorder. Spans live in memory and are written out once, when
@@ -233,9 +234,14 @@ const std::vector<std::string> &presetNames();
 
 /**
  * Pin the library's environment for `workload` before any library
- * call: DITTO_NO_CACHE=1 and the workload's DITTO_NUM_THREADS. Returns
- * an empty string on success, else why the run is refused: any other
- * DITTO_* variable is set, or a pinned one is set to another value.
+ * call: DITTO_NO_CACHE=1, the workload's DITTO_NUM_THREADS, and fixed
+ * malloc thresholds (everything from the heap, which is never trimmed).
+ * glibc otherwise adapts its mmap and trim thresholds to the process's
+ * allocation history; in some processes the executor's per-step
+ * buffers then fault in fresh pages every step (8x the page faults,
+ * QuantDirect rollouts 25% slower for the whole run). Returns an empty
+ * string on success, else why the run is refused: any other DITTO_*
+ * variable is set, or a pinned one is set to another value.
  */
 std::string pinEnvironment(const std::string &workload);
 
@@ -250,6 +256,18 @@ void stampEnvironment(Report *rep);
 ditto::CompileOptions pinnedCompileOptions();
 
 bool bitwiseEqual(const ditto::FloatTensor &a, const ditto::FloatTensor &b);
+
+/**
+ * tier_dup's fixed ladder of absolute arrival rates in req/s,
+ * ascending. Committed here, never derived from a capacity measured at
+ * run time.
+ */
+inline constexpr double kTierLadderRps[] = {500,  1500, 2000, 2500, 3000,
+                                            3500, 4000, 5000, 6000};
+/** The ladder rate whose latency tier_dup reports as high_*. */
+inline constexpr double kTierHighRps = 1500;
+/** The p99 latency limit that defines tier_dup's goodput_rps, in ms. */
+inline constexpr double kTierLimitMs = 50;
 
 /** The workloads, one per translation unit. */
 void runRolloutZoo(const Options &opt, Tracer &tr, Report *rep);

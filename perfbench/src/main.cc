@@ -4,7 +4,6 @@
  * result line.
  *
  *   perfbench --workload NAME --seed N --seconds S --trace 0|1
- *             [--ladder R1,R2,... --high-rps R --limit-ms L]
  *             [--trace-out PATH]
  *
  * Prints the run's environment stamp, sent/succeeded/failed per phase
@@ -12,8 +11,7 @@
  * object {correct, attempted, failed, metrics}: the end-to-end metrics,
  * or with --trace 1 the per-layer metrics (the spans go to
  * --trace-out). Exits 1 when any output failed its bitwise check, 2 on
- * a refused command line or environment. perfbench/run.py supplies the
- * ladder and limits from perfbench/config.json.
+ * a refused command line or environment.
  */
 #include <cstdio>
 #include <string>

@@ -10,11 +10,11 @@
  * polling) and the reuse-cache hit path dominate; affinity routing only
  * pays when duplicates land on the worker that holds their prefix.
  *
- * The load climbs a fixed ladder of absolute rates (perfbench/
- * config.json, never derived from a capacity measured at run time).
- * Each request is timed from its due time to the poll that sees its
- * result, so the tier's framing, routing and polling are included.
- * Every served image is checked bitwise against CompiledModel::rollout:
+ * The load climbs a fixed ladder of absolute rates (kTierLadderRps in
+ * bench.h, never derived from a capacity measured at run time). Each
+ * request is timed from its due time to the poll that sees its result,
+ * so the tier's framing, routing and polling are included. Every served
+ * image is checked bitwise against CompiledModel::rollout:
  * duplicate-pool references are computed during set-up, unique
  * requests are checked on a seeded sample between rate points.
  */
@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -47,12 +48,12 @@ namespace {
 
 using namespace ditto;
 
-constexpr int kSetupRepeats = 5;
+constexpr int kSetupRepeats = 21;
 constexpr int kServeSteps = 8;
 constexpr int64_t kMaxBatch = 8;
-constexpr int kPasses = 2; //!< passes over the ladder's rates
+constexpr int kPasses = 4; //!< passes (windows) over the ladder's rates
 constexpr double kAnchorWeight = 3.0; //!< time of the low/high rates
-constexpr double kWarmupSeconds = 1.0;
+constexpr double kWarmupSeconds = 1.0; //!< at most a tenth of the run
 constexpr double kSampleFrac = 0.05; //!< unique requests checked bitwise
 
 /**
@@ -229,31 +230,40 @@ struct Counters
     }
 };
 
-/** Result of one rate point (pooled over its passes). */
+/**
+ * Result of one rate point. Each pass over the rate is one window; the
+ * samples of all windows are pooled for the layer metrics, while the
+ * rate's latency is the median over its windows of each window's
+ * percentile, so a burst of CPU steal that slows one window does not
+ * move it.
+ */
 struct RungResult
 {
     double rps = 0.0;
     uint64_t sent = 0, succeeded = 0, failed = 0, mismatches = 0;
     std::vector<double> e2eMs, queueMs, serviceMs, lagMs, submitUs, pollUs;
+    std::vector<double> winP50, winP90, winP99; //!< one value per window
     uint64_t polls = 0, readyPolls = 0;
     uint64_t degraded = 0, rejected = 0, reusedSteps = 0, steps = 0;
     size_t backlogAtEnd = 0; //!< unresolved when the arrivals stopped
     /**
-     * The backlog grew: more than a quarter of a pass's arrivals (and
-     * more than two full batches) were still unresolved as its
-     * arrivals stopped.
+     * Windows whose backlog grew: more than a quarter of the window's
+     * arrivals (and more than two full batches) were still unresolved
+     * as its arrivals stopped.
      */
-    bool backlogGrew = false;
+    int grewWindows = 0;
     Counters counters;
     std::vector<Completion> checked; //!< sampled unique completions
 
-    double p50() const { return percentile(e2eMs, 0.50); }
-    double p90() const { return percentile(e2eMs, 0.90); }
-    double p99() const { return percentile(e2eMs, 0.99); }
+    double p50() const { return median(winP50); }
+    double p90() const { return median(winP90); }
+    double p99() const { return median(winP99); }
+    int windows() const { return static_cast<int>(winP99.size()); }
+    bool backlogGrew() const { return 2 * grewWindows > windows(); }
 
     bool meets(double limitMs) const
     {
-        return failed == 0 && !backlogGrew && p99() <= limitMs;
+        return failed == 0 && !backlogGrew() && p99() <= limitMs;
     }
 
     /** Pool another pass of the same rate into this one. */
@@ -267,7 +277,9 @@ struct RungResult
         for (auto [into, from] :
              {std::pair{&e2eMs, &o.e2eMs}, {&queueMs, &o.queueMs},
               {&serviceMs, &o.serviceMs}, {&lagMs, &o.lagMs},
-              {&submitUs, &o.submitUs}, {&pollUs, &o.pollUs}})
+              {&submitUs, &o.submitUs}, {&pollUs, &o.pollUs},
+              {&winP50, &o.winP50}, {&winP90, &o.winP90},
+              {&winP99, &o.winP99}})
             into->insert(into->end(), from->begin(), from->end());
         polls += o.polls;
         readyPolls += o.readyPolls;
@@ -276,7 +288,7 @@ struct RungResult
         reusedSteps += o.reusedSteps;
         steps += o.steps;
         backlogAtEnd = std::max(backlogAtEnd, o.backlogAtEnd);
-        backlogGrew = backlogGrew || o.backlogGrew;
+        grewWindows += o.grewWindows;
         counters.add(o.counters);
     }
 };
@@ -455,8 +467,9 @@ runRung(Harness &h, int phase, double rps, double seconds, Tracer *tr)
     cv.notify_all();
     collector.join();
     r.counters = Counters::between(before, h.backend->metrics());
-    r.backlogGrew =
+    const bool grew =
         r.backlogAtEnd > std::max<size_t>(2 * kMaxBatch, sched.size() / 4);
+    r.grewWindows = grew ? 1 : 0;
 
     r.failed = submitFailures;
     for (Completion &c : completions) {
@@ -482,6 +495,9 @@ runRung(Harness &h, int phase, double rps, double seconds, Tracer *tr)
         if (!c.image.data().empty())
             r.checked.push_back(std::move(c));
     }
+    r.winP50 = {percentile(r.e2eMs, 0.50)};
+    r.winP90 = {percentile(r.e2eMs, 0.90)};
+    r.winP99 = {percentile(r.e2eMs, 0.99)};
     return r;
 }
 
@@ -506,8 +522,9 @@ book(const std::string &name, const RungResult &r, Report *rep)
  * goodput_rps: the ladder rate at which the p99 crosses the limit,
  * interpolated linearly between the last rate point that meets it and
  * the first that does not (a point with failures, or whose backlog
- * grew, misses whatever its p99). The top rate when every point meets
- * the limit; the lowest rate scaled by limit/p99 when even that misses.
+ * grew in most of its windows, misses whatever its p99). The top rate
+ * when every point meets the limit; the lowest rate scaled by
+ * limit/p99 when even that misses.
  */
 double
 goodput(const std::vector<RungResult> &rungs, double limitMs)
@@ -527,13 +544,15 @@ goodput(const std::vector<RungResult> &rungs, double limitMs)
 }
 
 /**
- * Reference checks and offline rollout timing of the served model, run
- * between rate points (the servers are idle then) so they sample the
- * host over the whole run. Each check runs CompiledModel::rollout in
+ * Reference checks of the served model, run between rate points (the
+ * servers are idle then). Each check runs CompiledModel::rollout in
  * QuantDitto and QuantDirect (alternating which goes first); both must
  * agree bitwise, and with the served image when there is one. Some
- * checks also time an ApproxDitto rollout at the pinned policy and
- * measure its PSNR against the QuantDitto image.
+ * checks also run ApproxDitto at the pinned policy and measure its PSNR
+ * against the QuantDitto image. The report format wants every
+ * end-to-end name from every workload, so the checks' rollouts also
+ * give tier_dup's direct_ms, ditto_ms and approx_ms, with rollout_zoo's
+ * statistic (rolloutTimeMs), and approx_psnr_db.
  */
 class References
 {
@@ -564,9 +583,9 @@ class References
                                bad_,
                                std::to_string(served_) +
                                    " of them served images"});
-        rep->e2e("direct_ms", median(ms_[0]), "ms");
-        rep->e2e("ditto_ms", median(ms_[1]), "ms");
-        rep->e2e("approx_ms", median(ms_[2]), "ms");
+        rep->e2e("direct_ms", rolloutTimeMs(ms_[0]), "ms");
+        rep->e2e("ditto_ms", rolloutTimeMs(ms_[1]), "ms");
+        rep->e2e("approx_ms", rolloutTimeMs(ms_[2]), "ms");
         rep->e2e("approx_psnr_db", median(psnr_), "dB");
     }
 
@@ -628,47 +647,43 @@ class References
 };
 
 /**
- * Climb the ladder after a warm-up at the lowest rate. Pass 0 runs the
- * rates in ascending order until one clearly misses the latency limit
- * (failures, a growing backlog or a p99 over twice the limit) and the
- * high rate has run; the later passes rerun those rates (descending,
- * then ascending) so every rate samples the host over the whole run.
- * The low and high rates, whose tails are reported, get kAnchorWeight
- * times the time of the others. Traced runs first run the lowest rate
- * once untraced and once traced, so the tracing overhead is measured on
- * the same traffic.
+ * Climb the ladder after a warm-up at the lowest rate: kPasses passes
+ * over every rate, alternately ascending and descending, so every rate
+ * gets kPasses windows spread over the whole run. The low and high
+ * rates, whose latency is reported, get kAnchorWeight times the time of
+ * the others. Traced runs first run the lowest rate once untraced and
+ * once traced, so the tracing overhead is measured on the same traffic.
  */
 std::vector<RungResult>
 climbLadder(Harness &h, References &refs, Tracer &tr, Report *rep)
 {
-    const Options &opt = *h.opt;
-    const size_t n = opt.ladder.size();
+    const std::vector<double> ladder(std::begin(kTierLadderRps),
+                                     std::end(kTierLadderRps));
     auto weight = [&](size_t i) {
-        return i == 0 || opt.ladder[i] == opt.highRps ? kAnchorWeight : 1.0;
+        return i == 0 || ladder[i] == kTierHighRps ? kAnchorWeight : 1.0;
     };
     double units = tr.on() ? 2.0 : 0.0;
-    for (size_t i = 0; i < n; ++i)
+    for (size_t i = 0; i < ladder.size(); ++i)
         units += kPasses * weight(i);
-    const double unitSeconds = opt.seconds / units;
-    book("warmup", runRung(h, 999, opt.ladder[0], kWarmupSeconds, nullptr),
-         rep);
+    const double warmup = std::min(kWarmupSeconds, h.opt->seconds / 10);
+    const double unitSeconds = (h.opt->seconds - warmup) / units;
+    book("warmup", runRung(h, 999, ladder[0], warmup, nullptr), rep);
     if (tr.on()) {
         const RungResult plain =
-            runRung(h, 900, opt.ladder[0], unitSeconds, nullptr);
+            runRung(h, 900, ladder[0], unitSeconds, nullptr);
         book("untraced_low", plain, rep);
-        const RungResult traced =
-            runRung(h, 901, opt.ladder[0], unitSeconds, &tr);
+        const RungResult traced = runRung(h, 901, ladder[0], unitSeconds, &tr);
         book("traced_low", traced, rep);
         rep->layer("trace.overhead_frac", traced.p50() / plain.p50() - 1.0,
                    "fraction");
     }
     std::vector<RungResult> rungs;
     auto runPass = [&](int pass, size_t i) {
-        RungResult r = runRung(h, pass * 100 + static_cast<int>(i),
-                               opt.ladder[i], unitSeconds * weight(i),
+        RungResult r = runRung(h, pass * 100 + static_cast<int>(i), ladder[i],
+                               unitSeconds * weight(i),
                                tr.on() ? &tr : nullptr);
         char name[48];
-        std::snprintf(name, sizeof name, "rate_%g/%d", opt.ladder[i], pass);
+        std::snprintf(name, sizeof name, "rate_%g/%d", ladder[i], pass);
         book(name, r, rep);
         refs.checkPass(r, rep);
         if (i < rungs.size())
@@ -676,41 +691,41 @@ climbLadder(Harness &h, References &refs, Tracer &tr, Report *rep)
         else
             rungs.push_back(std::move(r));
     };
-    for (size_t i = 0; i < n; ++i) {
-        runPass(0, i);
-        // Stop past the knee: pooling pass 1 can still pull a rate that
-        // missed narrowly under the limit, so a clear miss ends pass 0.
-        const RungResult &r = rungs[i];
-        if (opt.ladder[i] >= opt.highRps &&
-            (r.failed || r.backlogGrew || r.p99() > 2 * opt.limitMs))
-            break;
+    for (int pass = 0; pass < kPasses; ++pass)
+        for (size_t k = 0; k < ladder.size(); ++k)
+            runPass(pass, pass % 2 ? ladder.size() - 1 - k : k);
+    for (const RungResult &r : rungs) {
+        char name[32], note[160];
+        std::snprintf(name, sizeof name, "rate_%g", r.rps);
+        std::snprintf(note, sizeof note,
+                      "median of %d windows: p50 %.2f p90 %.2f p99 %.2f ms, "
+                      "backlog grew in %d, meets %g ms: %s",
+                      r.windows(), r.p50(), r.p90(), r.p99(), r.grewWindows,
+                      kTierLimitMs, r.meets(kTierLimitMs) ? "yes" : "no");
+        rep->phases.push_back({name, r.sent, r.succeeded, r.failed, note});
     }
-    for (int pass = 1; pass < kPasses; ++pass)
-        for (size_t k = 0; k < rungs.size(); ++k)
-            runPass(pass, pass % 2 ? rungs.size() - 1 - k : k);
     return rungs;
 }
 
 const RungResult &
-highRung(const Options &opt, const std::vector<RungResult> &rungs)
+highRung(const std::vector<RungResult> &rungs)
 {
     for (const RungResult &r : rungs)
-        if (r.rps == opt.highRps)
+        if (r.rps == kTierHighRps)
             return r;
     return rungs.back(); // unreachable: the ladder always runs the high rate
 }
 
 /** The latency, goodput, serve.* and loadgen.* metrics of a ladder. */
 void
-reportLadder(const Options &opt, const std::vector<RungResult> &rungs,
-             Report *rep)
+reportLadder(const std::vector<RungResult> &rungs, Report *rep)
 {
-    const RungResult &lo = rungs.front(), &hi = highRung(opt, rungs);
+    const RungResult &lo = rungs.front(), &hi = highRung(rungs);
     rep->e2e("low_p50_ms", lo.p50(), "ms");
     rep->e2e("low_p90_ms", lo.p90(), "ms");
     rep->e2e("high_p50_ms", hi.p50(), "ms");
     rep->e2e("high_p90_ms", hi.p90(), "ms");
-    rep->e2e("goodput_rps", goodput(rungs, opt.limitMs), "1/s");
+    rep->e2e("goodput_rps", goodput(rungs, kTierLimitMs), "1/s");
 
     rep->layer("serve.queue_p50_ms", percentile(hi.queueMs, 0.5), "ms");
     rep->layer("serve.queue_p99_ms", percentile(hi.queueMs, 0.99), "ms");
@@ -819,7 +834,7 @@ runTierDup(const Options &opt, Tracer &tr, Report *rep)
     const std::vector<uint64_t> share1 = backend->perWorkerSubmitted();
     const uint64_t resub1 = backend->resubmitted();
 
-    const RungResult &hi = highRung(opt, rungs);
+    const RungResult &hi = highRung(rungs);
     rep->layer("shard.submit_rpc_p50_us", percentile(hi.submitUs, 0.5), "us");
     rep->layer("shard.submit_rpc_p99_us", percentile(hi.submitUs, 0.99), "us");
     rep->layer("shard.poll_rpc_p50_us", percentile(hi.pollUs, 0.5), "us");
@@ -842,7 +857,7 @@ runTierDup(const Options &opt, Tracer &tr, Report *rep)
 
     backend.reset();
     ::rmdir(sockDir.c_str());
-    reportLadder(opt, rungs, rep);
+    reportLadder(rungs, rep);
     refs.report(rep);
 }
 

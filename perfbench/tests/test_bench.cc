@@ -8,6 +8,7 @@
  */
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -103,36 +104,24 @@ testScheduleShape()
 }
 
 void
-testLadderIsReadNotDerived()
+testLadderIsCommitted()
 {
-    std::vector<double> r;
-    CHECK(parseRates("40,80,120", &r));
-    CHECK(r == (std::vector<double>{40, 80, 120}));
-    CHECK(!parseRates("80,40", &r));
-    CHECK(!parseRates("40,-1", &r));
-    CHECK(!parseRates("", &r));
-    CHECK(!parseRates("40,x", &r));
+    // Absolute req/s, ascending, with the high rate on the ladder.
+    const std::vector<double> ladder(std::begin(kTierLadderRps),
+                                     std::end(kTierLadderRps));
+    CHECK(ladder == (std::vector<double>{500, 1500, 2000, 2500, 3000, 3500,
+                                         4000, 5000, 6000}) &&
+          kTierHighRps == 1500 && kTierLimitMs == 50);
 
+    // No command-line knob can change them.
     const char *argv[] = {"perfbench", "--workload", "tier_dup", "--seed",
-                          "3", "--seconds", "5", "--trace", "0",
-                          "--ladder", "40,80,120", "--high-rps", "80",
-                          "--limit-ms", "100"};
+                          "3", "--seconds", "5", "--trace", "0"};
     Options o;
-    CHECK(parseOptions(15, const_cast<char **>(argv), &o).empty());
-    // The rates arrive exactly as given, in req/s.
-    CHECK(o.ladder == (std::vector<double>{40, 80, 120}));
-    CHECK(o.highRps == 80 && o.limitMs == 100);
+    CHECK(parseOptions(9, const_cast<char **>(argv), &o).empty());
     CHECK(o.seed == 3 && o.seconds == 5 && !o.trace);
-
-    // tier_dup refuses to run without a committed ladder, and
-    // the high rung must be a ladder rate.
-    const char *noLadder[] = {"perfbench", "--workload", "tier_dup",
-                              "--seed", "1"};
-    CHECK(!parseOptions(5, const_cast<char **>(noLadder), &o).empty());
-    const char *offLadder[] = {"perfbench", "--workload", "tier_dup",
-                               "--seed", "1", "--ladder", "40,80",
-                               "--high-rps", "60", "--limit-ms", "100"};
-    CHECK(!parseOptions(11, const_cast<char **>(offLadder), &o).empty());
+    const char *knob[] = {"perfbench", "--workload", "tier_dup", "--seed",
+                          "1", "--ladder", "40,80"};
+    CHECK(!parseOptions(7, const_cast<char **>(knob), &o).empty());
     const char *bad[] = {"perfbench", "--workload", "nope", "--seed", "1"};
     CHECK(!parseOptions(5, const_cast<char **>(bad), &o).empty());
 }
@@ -194,7 +183,7 @@ main()
 {
     testScheduleIsAFunctionOfTheSeed();
     testScheduleShape();
-    testLadderIsReadNotDerived();
+    testLadderIsCommitted();
     testEveryMetricIsReportedWithItsUnit();
     testStatistics();
     std::printf("perfbench_tests: %d checks passed\n", g_checks);
