@@ -193,7 +193,10 @@ class ByteReader
     {
         if (!need(n))
             return false;
-        std::memcpy(out, p_ + pos_, n);
+        // An empty tensor's data() may be null; memcpy forbids null
+        // even for zero bytes.
+        if (n > 0)
+            std::memcpy(out, p_ + pos_, n);
         pos_ += n;
         return true;
     }

@@ -30,7 +30,6 @@ class MiniUnet
 {
   public:
     using DittoState = CompiledModel::DittoState;
-    using BatchDittoState = CompiledModel::BatchDittoState;
 
     explicit MiniUnet(MiniUnetConfig cfg)
         : cfg_(cfg), model_(compile(miniUnetSpec(cfg)))
@@ -62,20 +61,15 @@ class MiniUnet
         return model_.requestNoise(seed);
     }
 
-    /** One denoising-model evaluation (predicted noise). */
+    /**
+     * One denoising-model evaluation (predicted noise) for a stacked
+     * batch of B >= 1 requests (CompiledModel::forward).
+     */
     FloatTensor
     forward(const FloatTensor &x, RunMode mode, DittoState *state,
             OpCounts *counts) const
     {
         return model_.forward(x, mode, state, counts);
-    }
-
-    /** One evaluation for a stacked batch of requests. */
-    FloatTensor
-    forwardBatch(const FloatTensor &x, RunMode mode,
-                 BatchDittoState *state, OpCounts *counts) const
-    {
-        return model_.forwardBatch(x, mode, state, counts);
     }
 
     /** N full reverse diffusions as one batch. */

@@ -1,9 +1,10 @@
 /**
  * @file
- * CompiledModel implementation: compile() and the three executors
- * (FP32, quantized single, quantized batch).
+ * CompiledModel implementation: compile() and the two executors (FP32
+ * and quantized). The quantized executor runs a stacked batch of
+ * B >= 1 requests; a single request is a batch of one.
  *
- * The quantized executors mirror the historic hand-wired MiniUnet
+ * The quantized executor mirrors the historic hand-wired MiniUnet
  * paths call for call — quantize, engine entry point, dequantize, the
  * same float ops between — which is what makes compiled execution of
  * the MiniUnet preset bitwise identical to the legacy implementation
@@ -188,49 +189,23 @@ requantCodes(const Int32Tensor &acc, float combined, const QuantParams &qp)
 }
 
 /**
- * Requantize the current accumulator and emit both the codes and
- * their difference against the previous step's emission (the
- * producer-resident code cache) — the diff-calc-bypass payload.
- * `prev` is the same requantization of the previous accumulator, so
- * `d16` equals subtractInt8(codes_t, codes_prev) element for element
- * and a consumer running on it is bitwise identical to one that
- * stored the previous codes itself — without re-running the float
- * requantization of the previous step.
+ * Requantize the current accumulator and emit both the codes and, per
+ * primed slab, their difference against the previous step's emission
+ * (the producer-resident code cache `prev`) — the diff-calc-bypass
+ * payload. `prev` is the same requantization of the previous
+ * accumulator, so a primed slab's `d16` region equals
+ * subtractInt8(codes_t, codes_prev) element for element and a consumer
+ * running on it is bitwise identical to one that stored the previous
+ * codes itself — without re-running the float requantization of the
+ * previous step. Unprimed slabs get codes only (their `d16` region
+ * stays zero and is never read, exactly like an unprimed slab's engine
+ * state).
  */
 void
-requantCodesDelta(const Int32Tensor &acc, const Int8Tensor &prev,
-                  float combined, const QuantParams &qp, Int8Tensor *codes,
-                  Int16Tensor *d16)
-{
-    DITTO_ASSERT(prev.shape() == acc.shape(),
-                 "payload code-cache shape mismatch");
-    *codes = Int8Tensor(acc.shape());
-    *d16 = Int16Tensor(acc.shape());
-    const float inv = 1.0f / qp.scale;
-    const float lo = static_cast<float>(qp.minCode());
-    const float hi = static_cast<float>(qp.maxCode());
-    auto sa = acc.data();
-    auto sp = prev.data();
-    auto sc = codes->data();
-    auto sd = d16->data();
-    for (size_t i = 0; i < sa.size(); ++i) {
-        const int8_t ct = requantOne(sa[i], combined, inv, lo, hi);
-        sc[i] = ct;
-        sd[i] = static_cast<int16_t>(static_cast<int16_t>(ct) -
-                                     static_cast<int16_t>(sp[i]));
-    }
-}
-
-/**
- * Batched payload: per-slab primed flags — unprimed slabs get codes
- * only (their `d16` region stays zero and is never read, exactly like
- * an unprimed slab's engine state).
- */
-void
-requantCodesDeltaBatch(const Int32Tensor &acc, const Int8Tensor *prev,
-                       float combined, const QuantParams &qp,
-                       const uint8_t *primed, int64_t slabs,
-                       Int8Tensor *codes, Int16Tensor *d16)
+requantPayload(const Int32Tensor &acc, const Int8Tensor *prev,
+               float combined, const QuantParams &qp,
+               const uint8_t *primed, int64_t slabs, Int8Tensor *codes,
+               Int16Tensor *d16)
 {
     *codes = Int8Tensor(acc.shape());
     *d16 = Int16Tensor(acc.shape());
@@ -325,15 +300,14 @@ stackedShape(const Shape &one, int64_t b)
 }
 
 /**
- * Shared per-node epilogue of the four quant-executor compute paths
- * (single/batch x weight-stationary/attention): payload emission plus
- * code-cache refresh, f-liveness-gated float materialization, the
- * mode-specific operand code-state stores, and the accumulator's
- * disposition (value table for QuantDirect junction sources, prevOut
- * slot in Ditto mode). The call sites differ only in how a primed
- * payload delta is produced (single vs per-slab) and how summation
- * work is counted, passed in as lambdas — one definition to keep the
- * single and batched modes from silently diverging.
+ * Shared per-node epilogue of the quant executor's two compute paths
+ * (weight-stationary and attention): payload emission plus code-cache
+ * refresh, f-liveness-gated float materialization (counted as
+ * summation work for primed slabs), and the accumulator's disposition
+ * (value table for QuantDirect junction sources, prevOut slot in Ditto
+ * mode). `state` is null in QuantDirect; `primed` holds `bsz` per-slab
+ * flags (null in QuantDirect) and `any_primed` says whether any is
+ * set. The caller stores its operand codes into their slots itself.
  *
  * `emit_stash` (ApproxDitto passes only) parks the pre-update emission
  * cache, indexed by slot: a hand-over consumer that decides to skip
@@ -341,24 +315,25 @@ stackedShape(const Shape &one, int64_t b)
  * replayed output corresponds to, so the next executed step's delta
  * telescopes across the skipped one exactly.
  */
-template <typename Node, typename Value, typename State,
-          typename EmitDeltaFn, typename CountSumFn, typename StoreFn>
+template <typename Node, typename Value>
 void
 nodeEpilogue(const Node &nd, Value &out, Int32Tensor &acc, float combined,
-             bool use_ditto, State *state,
-             const std::vector<float> &act_scale, bool any_primed,
-             Int8Tensor *emit_stash, EmitDeltaFn &&emitDelta,
-             CountSumFn &&countSum, StoreFn &&storeCodes)
+             CompiledModel::DittoState *state,
+             const std::vector<float> &act_scale, const uint8_t *primed,
+             int64_t bsz, bool any_primed, Int8Tensor *emit_stash,
+             OpCounts *counts)
 {
     if (nd.emitPayload) {
         const QuantParams eqp{
             act_scale[static_cast<size_t>(nd.emitScale)], 8};
         if (any_primed)
-            emitDelta(eqp, combined);
+            requantPayload(
+                acc, &state->prevIn[static_cast<size_t>(nd.emitSlot)],
+                combined, eqp, primed, bsz, &out.codes, &out.d16);
         else
             out.codes = requantCodes(acc, combined, eqp);
         // The emission becomes the next step's subtrahend.
-        if (use_ditto) {
+        if (state) {
             Int8Tensor &cache =
                 state->prevIn[static_cast<size_t>(nd.emitSlot)];
             if (emit_stash)
@@ -369,19 +344,20 @@ nodeEpilogue(const Node &nd, Value &out, Int32Tensor &acc, float combined,
     }
     if (nd.fLive) {
         out.f = dequantizeAccum(acc, combined);
-        countSum();
+        for (int64_t s = 0; counts && primed && s < bsz; ++s)
+            if (primed[s])
+                counts[s].summationElems += acc.numel() / bsz;
     }
-    storeCodes();
-    if (nd.keepAcc && !use_ditto)
-        out.acc = std::move(acc);
-    else if (use_ditto)
+    if (state)
         state->prevOut[static_cast<size_t>(nd.outSlot)] = std::move(acc);
+    else if (nd.keepAcc)
+        out.acc = std::move(acc);
 }
 
 } // namespace
 
 void
-CompiledModel::BatchDittoState::appendSlabs(int64_t count)
+CompiledModel::DittoState::appendSlabs(int64_t count)
 {
     DITTO_ASSERT(count > 0, "appendSlabs needs a positive count");
     const int64_t b = batch();
@@ -407,7 +383,7 @@ CompiledModel::BatchDittoState::appendSlabs(int64_t count)
 }
 
 void
-CompiledModel::BatchDittoState::removeSlab(int64_t i)
+CompiledModel::DittoState::removeSlab(int64_t i)
 {
     const int64_t b = batch();
     DITTO_ASSERT(i >= 0 && i < b, "removeSlab index out of range");
@@ -445,7 +421,7 @@ CompiledModel::BatchDittoState::removeSlab(int64_t i)
 }
 
 void
-CompiledModel::BatchDittoState::resetSlab(int64_t i)
+CompiledModel::DittoState::resetSlab(int64_t i)
 {
     const int64_t b = batch();
     DITTO_ASSERT(i >= 0 && i < b, "resetSlab index out of range");
@@ -473,7 +449,7 @@ CompiledModel::BatchDittoState::resetSlab(int64_t i)
 }
 
 int64_t
-CompiledModel::BatchDittoState::SlabState::payloadBytes() const
+CompiledModel::DittoState::SlabState::payloadBytes() const
 {
     int64_t b = 0;
     for (const auto &t : prevIn)
@@ -487,8 +463,8 @@ CompiledModel::BatchDittoState::SlabState::payloadBytes() const
     return b;
 }
 
-CompiledModel::BatchDittoState::SlabState
-CompiledModel::BatchDittoState::extractSlab(int64_t i) const
+CompiledModel::DittoState::SlabState
+CompiledModel::DittoState::extractSlab(int64_t i) const
 {
     const int64_t b = batch();
     DITTO_ASSERT(i >= 0 && i < b, "extractSlab index out of range");
@@ -535,7 +511,7 @@ CompiledModel::BatchDittoState::extractSlab(int64_t i) const
 }
 
 void
-CompiledModel::BatchDittoState::installSlab(int64_t i, const SlabState &s)
+CompiledModel::DittoState::installSlab(int64_t i, const SlabState &s)
 {
     const int64_t b = batch();
     DITTO_ASSERT(i >= 0 && i < b, "installSlab index out of range");
@@ -858,30 +834,74 @@ CompiledModel::runStructural(const Node &nd, std::vector<Value> &vals,
 }
 
 FloatTensor
-CompiledModel::forwardQuant(const FloatTensor &x, bool use_ditto,
-                            bool approx, DittoState *state,
-                            OpCounts *counts) const
+CompiledModel::runQuant(const FloatTensor &x, DittoState *state,
+                        bool approx, OpCounts *counts) const
 {
-    DITTO_ASSERT(!use_ditto || state != nullptr,
-                 "Ditto mode needs persistent state");
-    DITTO_ASSERT(!approx || use_ditto,
+    const int64_t bsz = x.shape()[0];
+    DITTO_ASSERT(!state || state->batch() == bsz,
+                 "Ditto state not sized to the batch");
+    DITTO_ASSERT(!approx || state,
                  "ApproxDitto runs on the Ditto state machinery");
-    const bool primed = use_ditto && state->primed;
-    if (use_ditto && state->prevIn.empty()) {
+    if (state && state->prevIn.empty()) {
         state->prevIn.resize(static_cast<size_t>(numInSlots_));
         state->prevOut.resize(static_cast<size_t>(numOutSlots_));
     }
-    if (approx && state->consec.size() != nodes_.size()) {
-        state->consec.assign(nodes_.size(), 0);
-        state->skips.assign(nodes_.size(), 0);
+    const uint8_t *primed = state ? state->primed.data() : nullptr;
+    bool have_primed = false;
+    for (int64_t s = 0; primed && s < bsz; ++s)
+        have_primed |= primed[s] != 0;
+
+    // ApproxDitto bookkeeping: per-slab enables (the serving layer
+    // mixes exact and approx requests in one batch; exact slabs are
+    // never skipped) and [slab][node] skip counters.
+    if (approx) {
+        DITTO_ASSERT(state->approx.size() == static_cast<size_t>(bsz),
+                     "approx batch needs per-slab approx flags");
+        if (state->consec.size() !=
+            nodes_.size() * static_cast<size_t>(bsz)) {
+            state->consec.assign(
+                nodes_.size() * static_cast<size_t>(bsz), 0);
+            state->skips.assign(
+                nodes_.size() * static_cast<size_t>(bsz), 0);
+        }
     }
-    // Skips are only legal on primed steps (there is a cached output
-    // to replay). The stash holds every emitting producer's pre-update
-    // code cache so a skipping consumer can roll it back.
-    const bool approx_pass = approx && primed;
+    const uint8_t *approx_flags = approx ? state->approx.data() : nullptr;
+    // Skips are only legal on primed slabs (there is a cached output to
+    // replay).
+    auto slabApprox = [&](int64_t s) {
+        return approx_flags && approx_flags[s] && primed[s];
+    };
+    bool any_approx = false;
+    for (int64_t s = 0; approx_flags && s < bsz; ++s)
+        any_approx |= slabApprox(s);
+    // The stash holds every emitting producer's pre-update code cache
+    // so a skipping consumer can roll it back.
     std::vector<Int8Tensor> emit_stash(
-        approx_pass ? static_cast<size_t>(numInSlots_) : 0);
-    Int8Tensor *stash = approx_pass ? emit_stash.data() : nullptr;
+        any_approx ? static_cast<size_t>(numInSlots_) : 0);
+    Int8Tensor *stash = any_approx ? emit_stash.data() : nullptr;
+    const size_t nnodes = nodes_.size();
+
+    // Previous-state slot pointer, or null while not materialized (the
+    // engines only dereference state for primed slabs).
+    auto prevIn = [&](int slot) -> const Int8Tensor * {
+        return state &&
+                       state->prevIn[static_cast<size_t>(slot)].numel() > 0
+                   ? &state->prevIn[static_cast<size_t>(slot)]
+                   : nullptr;
+    };
+    auto prevOut = [&](int slot) -> const Int32Tensor * {
+        return state &&
+                       state->prevOut[static_cast<size_t>(slot)].numel() >
+                           0
+                   ? &state->prevOut[static_cast<size_t>(slot)]
+                   : nullptr;
+    };
+    // Per-slab tally for work done against stored previous state.
+    auto countDiffCalc = [&](int64_t elems_per_slab) {
+        for (int64_t s = 0; counts && primed && s < bsz; ++s)
+            if (primed[s])
+                counts[s].diffCalcElems += elems_per_slab;
+    };
 
     std::vector<Value> vals(nodes_.size());
     for (const Node &nd : nodes_) {
@@ -905,412 +925,7 @@ CompiledModel::forwardQuant(const FloatTensor &x, bool use_ditto,
             Int16Tensor jd16;
             const Int16Tensor *dptr = nullptr;
             if (nd.junction) {
-                const uint8_t one = 1;
-                runJunction(nd, vals,
-                            use_ditto ? &state->prevOut : nullptr,
-                            primed ? state
-                                         ->prevIn[static_cast<size_t>(
-                                             nd.jSlot)]
-                                         .data()
-                                         .data()
-                                   : nullptr,
-                            primed ? &one : nullptr, 1, &codes, &jd16);
-                if (primed)
-                    dptr = &jd16;
-            } else if (nd.diffBypass) {
-                DITTO_ASSERT(in.codes.numel() > 0,
-                             "bypass payload missing codes");
-                codes = std::move(in.codes);
-                if (primed) {
-                    DITTO_ASSERT(in.d16.numel() > 0,
-                                 "bypass payload missing difference");
-                    dptr = &in.d16;
-                }
-            } else {
-                codes = quantize(in.f, qp);
-            }
-
-            // ApproxDitto: probe the operand's temporal difference and
-            // replay the cached previous output when it is stable
-            // enough. Every operand form reuses its step's difference
-            // reference: a handed-over delta, a junction fold's delta,
-            // or the stored previous codes.
-            bool skipped = false;
-            if (approx_pass) {
-                int32_t &consec =
-                    state->consec[static_cast<size_t>(ns.id)];
-                if (consec < approxCap_) {
-                    const DiffClassCounts pc =
-                        dptr ? countDiffClasses(*dptr)
-                             : countTemporalDiffClasses(
-                                   codes,
-                                   state->prevIn[static_cast<size_t>(
-                                       nd.inSlot)]);
-                    skipped = approxActivity(pc) <= approxThresh_;
-                }
-                if (skipped) {
-                    ++consec;
-                    ++state->skips[static_cast<size_t>(ns.id)];
-                } else {
-                    consec = 0;
-                }
-            }
-
-            Int32Tensor acc;
-            if (skipped) {
-                // Replay, and freeze the difference reference to the
-                // operand this output corresponds to: the next
-                // executed step's delta then telescopes across the
-                // skipped one exactly (out = prevOut + W(x_{t+1} -
-                // x_{t-1})), so the error stays confined to skipped
-                // steps.
-                acc = state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.junction) {
-                    codes =
-                        state->prevIn[static_cast<size_t>(nd.jSlot)];
-                } else if (nd.diffBypass) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer)];
-                    Int8Tensor &old = emit_stash[static_cast<size_t>(
-                        prod.emitSlot)];
-                    DITTO_ASSERT(old.numel() > 0,
-                                 "skip needs the producer's stashed "
-                                 "emission cache");
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(old);
-                } else {
-                    codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                if (counts)
-                    counts->reusedElems += acc.numel();
-            } else if (!primed) {
-                if (nd.conv)
-                    acc = nd.conv->runDirect(codes);
-                else if (nd.cross)
-                    acc = nd.cross->runDirect(codes);
-                else
-                    acc = nd.fc->runDirect(codes);
-            } else if (dptr) {
-                const Int32Tensor &prev =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.conv)
-                    acc = nd.conv->runDiffPre(codes, *dptr, prev, counts,
-                                              opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runDiffPre(codes, *dptr, prev,
-                                               counts, opts_.policy);
-                else
-                    acc = nd.fc->runDiffPre(codes, *dptr, prev, counts,
-                                            opts_.policy);
-            } else {
-                const Int8Tensor &prev_in =
-                    state->prevIn[static_cast<size_t>(nd.inSlot)];
-                const Int32Tensor &prev_out =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.conv)
-                    acc = nd.conv->runDiff(codes, prev_in, prev_out,
-                                           counts, opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runDiff(codes, prev_in, prev_out,
-                                            counts, opts_.policy);
-                else
-                    acc = nd.fc->runDiff(codes, prev_in, prev_out, counts,
-                                         opts_.policy);
-                if (counts)
-                    counts->diffCalcElems += codes.numel();
-            }
-
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDelta(
-                        acc,
-                        state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, &out.codes, &out.d16);
-                },
-                [&] {
-                    if (counts && primed)
-                        counts->summationElems += acc.numel();
-                },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(codes);
-                    else if (nd.junction)
-                        state->prevIn[static_cast<size_t>(nd.jSlot)] =
-                            std::move(codes);
-                });
-            continue;
-        }
-
-        // Dynamic-dynamic attention: two operands, two-term expansion,
-        // either operand possibly handed over by its producer.
-        if (ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput) {
-            Value &av = inVal(0);
-            Value &bv = inVal(1);
-            const QuantParams qpa{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            const QuantParams qpb{
-                actScale_[static_cast<size_t>(ns.scaleIn2)], 8};
-            Int8Tensor a_codes, b_codes;
-            if (nd.diffBypass) {
-                DITTO_ASSERT(av.codes.numel() > 0,
-                             "operand payload missing codes");
-                a_codes = std::move(av.codes);
-            } else {
-                a_codes = quantize(av.f, qpa);
-            }
-            if (nd.diffBypass2) {
-                DITTO_ASSERT(bv.codes.numel() > 0,
-                             "operand payload missing codes");
-                b_codes = std::move(bv.codes);
-            } else {
-                b_codes = quantize(bv.f, qpb);
-            }
-
-            // ApproxDitto is all-or-nothing per attention node: both
-            // operands must be stable (every expansion term carries a
-            // difference factor of one operand or the other).
-            bool skipped = false;
-            if (approx_pass) {
-                int32_t &consec =
-                    state->consec[static_cast<size_t>(ns.id)];
-                if (consec < approxCap_) {
-                    const DiffClassCounts ca =
-                        nd.diffBypass
-                            ? countDiffClasses(av.d16)
-                            : countTemporalDiffClasses(
-                                  a_codes,
-                                  state->prevIn[static_cast<size_t>(
-                                      nd.inSlot)]);
-                    const DiffClassCounts cb =
-                        nd.diffBypass2
-                            ? countDiffClasses(bv.d16)
-                            : countTemporalDiffClasses(
-                                  b_codes,
-                                  state->prevIn[static_cast<size_t>(
-                                      nd.inSlot2)]);
-                    skipped = approxActivity(ca) <= approxThresh_ &&
-                              approxActivity(cb) <= approxThresh_;
-                }
-                if (skipped) {
-                    ++consec;
-                    ++state->skips[static_cast<size_t>(ns.id)];
-                } else {
-                    consec = 0;
-                }
-            }
-
-            Int32Tensor acc;
-            if (skipped) {
-                acc = state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.diffBypass) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer)];
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(emit_stash[static_cast<size_t>(
-                            prod.emitSlot)]);
-                } else {
-                    a_codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                if (nd.diffBypass2) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer2)];
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(emit_stash[static_cast<size_t>(
-                            prod.emitSlot)]);
-                } else {
-                    b_codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)];
-                }
-                if (counts)
-                    counts->reusedElems += acc.numel();
-            } else if (!primed) {
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresDirect(a_codes, b_codes)
-                          : attentionOutputDirect(a_codes, b_codes);
-            } else {
-                const Int16Tensor *da = nullptr;
-                const Int8Tensor *pa = nullptr;
-                if (nd.diffBypass) {
-                    DITTO_ASSERT(av.d16.numel() > 0,
-                                 "operand payload missing difference");
-                    da = &av.d16;
-                } else {
-                    pa = &state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                const Int16Tensor *db = nullptr;
-                const Int8Tensor *pb = nullptr;
-                if (nd.diffBypass2) {
-                    DITTO_ASSERT(bv.d16.numel() > 0,
-                                 "operand payload missing difference");
-                    db = &bv.d16;
-                } else {
-                    pb = &state->prevIn[static_cast<size_t>(nd.inSlot2)];
-                }
-                const Int32Tensor &prev_out =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresPre(a_codes, da, pa, b_codes,
-                                               db, pb, prev_out, counts,
-                                               opts_.policy)
-                          : attentionOutputPre(a_codes, da, pa, b_codes,
-                                               db, pb, prev_out, counts,
-                                               opts_.policy);
-                if (counts)
-                    counts->diffCalcElems +=
-                        (pa ? a_codes.numel() : 0) +
-                        (pb ? b_codes.numel() : 0);
-            }
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDelta(
-                        acc,
-                        state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, &out.codes, &out.d16);
-                },
-                [&] {
-                    if (counts && primed)
-                        counts->summationElems += acc.numel();
-                },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(a_codes);
-                    if (nd.inSlot2 >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)] =
-                            std::move(b_codes);
-                });
-            continue;
-        }
-
-        // Vector / structural ops on full values; reshapes also carry
-        // the bypass payload through unchanged (element bijections).
-        // Plan-covered junction subtrees never execute.
-        if (!nd.skipExec)
-            runStructural(nd, vals, x);
-    }
-    if (use_ditto)
-        state->primed = true;
-    DITTO_ASSERT(vals.back().f.numel() > 0,
-                 "output node must materialize full values");
-    return std::move(vals.back().f);
-}
-
-FloatTensor
-CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
-                                 bool approx, BatchDittoState *state,
-                                 OpCounts *counts) const
-{
-    DITTO_ASSERT(x.shape().rank() == 4, "batched input must be NCHW");
-    const int64_t bsz = x.shape()[0];
-    DITTO_ASSERT(!use_ditto || state != nullptr,
-                 "Ditto mode needs persistent batch state");
-    DITTO_ASSERT(!use_ditto || state->batch() == bsz,
-                 "batch state size mismatch");
-    DITTO_ASSERT(!approx || use_ditto,
-                 "ApproxDitto runs on the Ditto state machinery");
-    if (use_ditto && state->prevIn.empty()) {
-        state->prevIn.resize(static_cast<size_t>(numInSlots_));
-        state->prevOut.resize(static_cast<size_t>(numOutSlots_));
-    }
-    const uint8_t *primed = use_ditto ? state->primed.data() : nullptr;
-    auto anyPrimed = [&] {
-        if (!primed)
-            return false;
-        for (int64_t s = 0; s < bsz; ++s)
-            if (primed[s])
-                return true;
-        return false;
-    };
-    const bool have_primed = anyPrimed();
-
-    // ApproxDitto bookkeeping: per-slab enables (the serving layer
-    // mixes exact and approx requests in one batch; exact slabs are
-    // never skipped) and [slab][node] skip counters.
-    if (approx) {
-        DITTO_ASSERT(state->approx.size() == static_cast<size_t>(bsz),
-                     "approx batch needs per-slab approx flags");
-        if (state->consec.size() !=
-            nodes_.size() * static_cast<size_t>(bsz)) {
-            state->consec.assign(
-                nodes_.size() * static_cast<size_t>(bsz), 0);
-            state->skips.assign(
-                nodes_.size() * static_cast<size_t>(bsz), 0);
-        }
-    }
-    const uint8_t *approx_flags = approx ? state->approx.data() : nullptr;
-    auto slabApprox = [&](int64_t s) {
-        return approx_flags && approx_flags[s] && primed[s];
-    };
-    bool any_approx = false;
-    for (int64_t s = 0; approx_flags && s < bsz; ++s)
-        any_approx |= slabApprox(s);
-    std::vector<Int8Tensor> emit_stash(
-        any_approx ? static_cast<size_t>(numInSlots_) : 0);
-    Int8Tensor *stash = any_approx ? emit_stash.data() : nullptr;
-    const size_t nnodes = nodes_.size();
-
-    // Previous-state slot pointer, or null while not materialized (the
-    // engines only dereference state for primed slabs).
-    auto prevIn = [&](int slot) -> const Int8Tensor * {
-        return use_ditto &&
-                       state->prevIn[static_cast<size_t>(slot)].numel() > 0
-                   ? &state->prevIn[static_cast<size_t>(slot)]
-                   : nullptr;
-    };
-    auto prevOut = [&](int slot) -> const Int32Tensor * {
-        return use_ditto &&
-                       state->prevOut[static_cast<size_t>(slot)].numel() >
-                           0
-                   ? &state->prevOut[static_cast<size_t>(slot)]
-                   : nullptr;
-    };
-    // Per-slab tallies for work done against stored previous state.
-    auto countDiffCalc = [&](int64_t elems_per_slab) {
-        if (!counts || !primed)
-            return;
-        for (int64_t s = 0; s < bsz; ++s)
-            if (primed[s])
-                counts[s].diffCalcElems += elems_per_slab;
-    };
-    auto countSummation = [&](int64_t elems_per_slab) {
-        if (!counts || !primed)
-            return;
-        for (int64_t s = 0; s < bsz; ++s)
-            if (primed[s])
-                counts[s].summationElems += elems_per_slab;
-    };
-
-    std::vector<Value> vals(nodes_.size());
-    for (const Node &nd : nodes_) {
-        const NodeSpec &ns = nd.spec;
-        Value &out = vals[static_cast<size_t>(ns.id)];
-        auto inVal = [&](int j) -> Value & {
-            return vals[static_cast<size_t>(
-                ns.inputs[static_cast<size_t>(j)])];
-        };
-
-        if (ns.op == RtOp::Conv2d || ns.op == RtOp::Fc ||
-            ns.op == RtOp::CrossScores || ns.op == RtOp::CrossOutput) {
-            Value &in = inVal(0);
-            const QuantParams qp{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            Int8Tensor codes;
-            Int16Tensor jd16;
-            const Int16Tensor *dptr = nullptr;
-            if (nd.junction) {
-                runJunction(nd, vals,
-                            use_ditto ? &state->prevOut : nullptr,
+                runJunction(nd, vals, state ? &state->prevOut : nullptr,
                             have_primed
                                 ? state
                                       ->prevIn[static_cast<size_t>(
@@ -1335,7 +950,10 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                 codes = quantize(in.f, qp);
             }
 
-            // ApproxDitto per-slab skip decisions: a skipped slab's
+            // ApproxDitto: probe each approx slab's temporal difference
+            // (a handed-over delta, a junction fold's delta, or the
+            // stored previous codes) and replay the cached previous
+            // output when it is stable enough. A skipped slab's
             // difference region is forced to zero (and its frozen
             // codes re-stored), which makes the batched engines
             // reproduce the replay bitwise — out = prevOut + W*0 —
@@ -1382,14 +1000,20 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                 }
             }
             if (any_skip) {
+                // Freeze each skipped slab's difference reference to the
+                // operand its replayed output corresponds to: the next
+                // executed step's delta then telescopes across the
+                // skipped one exactly (out = prevOut + W(x_{t+1} -
+                // x_{t-1})), so the error stays confined to skipped
+                // steps.
                 const int64_t in_elems = codes.numel() / bsz;
                 const int64_t out_elems = ns.outShape.numel();
                 for (int64_t s = 0; s < bsz; ++s) {
                     if (!skip_slab[static_cast<size_t>(s)])
                         continue;
                     if (nd.junction) {
-                        // Freeze the fold: re-emit the previous
-                        // cached codes, zero the delta region.
+                        // Re-emit the fold's previous cached codes,
+                        // zero the delta region.
                         copySlabRegion(
                             state->prevIn[static_cast<size_t>(
                                 nd.jSlot)],
@@ -1467,30 +1091,20 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                 countDiffCalc(codes.numel() / bsz);
             }
 
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, have_primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDeltaBatch(
-                        acc,
-                        &state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, primed, bsz, &out.codes,
-                        &out.d16);
-                },
-                [&] { countSummation(acc.numel() / bsz); },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(codes);
-                    else if (nd.junction)
-                        state->prevIn[static_cast<size_t>(nd.jSlot)] =
-                            std::move(codes);
-                });
+            nodeEpilogue(nd, out, acc, combinedScale(nd), state,
+                         actScale_, primed, bsz, have_primed, stash,
+                         counts);
+            if (state && nd.inSlot >= 0)
+                state->prevIn[static_cast<size_t>(nd.inSlot)] =
+                    std::move(codes);
+            else if (state && nd.junction)
+                state->prevIn[static_cast<size_t>(nd.jSlot)] =
+                    std::move(codes);
             continue;
         }
 
+        // Dynamic-dynamic attention: two operands, two-term expansion,
+        // either operand possibly handed over by its producer.
         if (ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput) {
             Value &av = inVal(0);
             Value &bv = inVal(1);
@@ -1514,10 +1128,10 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                 b_codes = quantize(bv.f, qpb);
             }
             // ApproxDitto: all-or-nothing per slab across both
-            // operands, then zero the skipped slabs' difference
-            // regions (every expansion term carries a difference
-            // factor, so the batched engine reproduces the replay
-            // bitwise for those slabs).
+            // operands (every expansion term carries a difference
+            // factor of one operand or the other), then zero the
+            // skipped slabs' difference regions, so the batched engine
+            // reproduces the replay bitwise for those slabs.
             std::vector<uint8_t> skip_slab;
             bool any_skip = false;
             bool all_skip = false;
@@ -1641,14 +1255,8 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                                 a_codes, da, pa, b_codes, db, pb, bsz,
                                 prevOut(nd.outSlot), primed, counts,
                                 opts_.policy);
-                if (counts && primed) {
-                    const int64_t per_slab =
-                        (pa ? a_codes.numel() / bsz : 0) +
-                        (pb ? b_codes.numel() / bsz : 0);
-                    for (int64_t s = 0; s < bsz; ++s)
-                        if (primed[s])
-                            counts[s].diffCalcElems += per_slab;
-                }
+                countDiffCalc((pa ? a_codes.numel() / bsz : 0) +
+                              (pb ? b_codes.numel() / bsz : 0));
             } else {
                 acc = ns.op == RtOp::AttnScores
                           ? attentionScoresBatch(a_codes, b_codes, bsz,
@@ -1660,34 +1268,25 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                                                  nullptr, primed, counts,
                                                  opts_.policy);
             }
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, have_primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDeltaBatch(
-                        acc,
-                        &state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, primed, bsz, &out.codes,
-                        &out.d16);
-                },
-                [&] { countSummation(acc.numel() / bsz); },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(a_codes);
-                    if (nd.inSlot2 >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)] =
-                            std::move(b_codes);
-                });
+            nodeEpilogue(nd, out, acc, combinedScale(nd), state,
+                         actScale_, primed, bsz, have_primed, stash,
+                         counts);
+            if (state && nd.inSlot >= 0)
+                state->prevIn[static_cast<size_t>(nd.inSlot)] =
+                    std::move(a_codes);
+            if (state && nd.inSlot2 >= 0)
+                state->prevIn[static_cast<size_t>(nd.inSlot2)] =
+                    std::move(b_codes);
             continue;
         }
 
+        // Vector / structural ops on full values; reshapes also carry
+        // the bypass payload through unchanged (element bijections).
+        // Plan-covered junction subtrees never execute.
         if (!nd.skipExec)
             runStructural(nd, vals, x);
     }
-    if (use_ditto)
+    if (state)
         std::fill(state->primed.begin(), state->primed.end(), 1);
     DITTO_ASSERT(vals.back().f.numel() > 0,
                  "output node must materialize full values");
@@ -1698,39 +1297,20 @@ FloatTensor
 CompiledModel::forward(const FloatTensor &x, RunMode mode,
                        DittoState *state, OpCounts *counts) const
 {
-    validateSingle(x, "forward");
-    switch (mode) {
-      case RunMode::Fp32:
-        return forwardFp32(x, nullptr);
-      case RunMode::QuantDirect:
-        return forwardQuant(x, /*use_ditto=*/false, /*approx=*/false,
-                            nullptr, nullptr);
-      case RunMode::QuantDitto:
-        return forwardQuant(x, /*use_ditto=*/true, /*approx=*/false,
-                            state, counts);
-      case RunMode::ApproxDitto:
-        return forwardQuant(x, /*use_ditto=*/true, /*approx=*/true,
-                            state, counts);
-    }
-    DITTO_PANIC("unknown RunMode");
-}
-
-FloatTensor
-CompiledModel::forwardBatch(const FloatTensor &x, RunMode mode,
-                            BatchDittoState *state, OpCounts *counts) const
-{
     const Shape &want = spec_.inputShape;
-    if (x.shape().rank() != 4 || x.shape()[1] != want[1] ||
-        x.shape()[2] != want[2] || x.shape()[3] != want[3])
-        DITTO_FATAL("forwardBatch: tensor shape "
+    if (x.shape().rank() != 4 || x.shape()[0] < 1 ||
+        x.shape()[1] != want[1] || x.shape()[2] != want[2] ||
+        x.shape()[3] != want[3])
+        DITTO_FATAL("forward: tensor shape "
                     << x.shape().toString()
                     << " does not stack model inputs "
                     << want.toString() << " of spec '" << spec_.name
                     << "'");
+    const int64_t bsz = x.shape()[0];
+    const bool approx = mode == RunMode::ApproxDitto;
     switch (mode) {
       case RunMode::Fp32: {
         // FP32 has no quantized state to batch; run per slab.
-        const int64_t bsz = x.shape()[0];
         const int64_t slab = want.numel();
         FloatTensor out(x.shape());
         for (int64_t b = 0; b < bsz; ++b) {
@@ -1745,14 +1325,21 @@ CompiledModel::forwardBatch(const FloatTensor &x, RunMode mode,
         return out;
       }
       case RunMode::QuantDirect:
-        return forwardQuantBatch(x, /*use_ditto=*/false,
-                                 /*approx=*/false, nullptr, nullptr);
+        return runQuant(x, nullptr, /*approx=*/false, nullptr);
       case RunMode::QuantDitto:
-        return forwardQuantBatch(x, /*use_ditto=*/true,
-                                 /*approx=*/false, state, counts);
       case RunMode::ApproxDitto:
-        return forwardQuantBatch(x, /*use_ditto=*/true,
-                                 /*approx=*/true, state, counts);
+        if (!state)
+            DITTO_FATAL("forward: the Ditto modes need a DittoState");
+        if (state->batch() == 0) {
+            state->appendSlabs(bsz);
+            std::fill(state->approx.begin(), state->approx.end(),
+                      approx ? 1 : 0);
+        } else if (state->batch() != bsz) {
+            DITTO_FATAL("forward: DittoState holds "
+                        << state->batch() << " slabs but x stacks "
+                        << bsz << " requests");
+        }
+        return runQuant(x, state, approx, counts);
     }
     DITTO_PANIC("unknown RunMode");
 }
@@ -1864,14 +1451,10 @@ CompiledModel::rolloutBatch(RunMode mode,
                   x.data().begin() + b * slab);
     }
 
-    BatchDittoState state;
-    state.primed.assign(static_cast<size_t>(bsz), 0);
-    state.approx.assign(static_cast<size_t>(bsz),
-                        mode == RunMode::ApproxDitto ? 1 : 0);
+    DittoState state;
     std::vector<OpCounts> counts(static_cast<size_t>(bsz));
     for (int t = 0; t < spec_.steps; ++t) {
-        const FloatTensor eps =
-            forwardBatch(x, mode, &state, counts.data());
+        const FloatTensor eps = forward(x, mode, &state, counts.data());
         x = add(x, affine(eps, -0.15f, 0.0f));
     }
 

@@ -14,7 +14,7 @@
  *    compute producer through reshape-only wire: the node stores *no*
  *    previous-input codes. Its producer requantizes its own resident
  *    accumulator pair into the consumer's code domain and hands the
- *    code difference over (runDiffPre) — the software realization of
+ *    code difference over (runBatchPre) — the software realization of
  *    "the producer's output is already a difference".
  *  - diffCalcNeeded == false and the operand arrives through a
  *    junction subtree (Add / Concat, optionally one Upsample2x /
@@ -45,10 +45,11 @@
  * and every spec runs bit-identical with useDependencyAnalysis on and
  * off. See docs/graph_runtime.md for the scale-alignment algebra.
  *
- * The compiled surface mirrors the historic MiniUnet API: forward /
- * forwardBatch / rollout / rolloutBatch / requestNoise with
- * DittoState / BatchDittoState, so the serving layer (src/serve/)
- * drives any compiled spec. Activation scales are calibrated by an
+ * The compiled surface is one stacked-batch forward (a single request
+ * is a batch of one) with one DittoState, plus rollout / rolloutBatch
+ * / requestNoise on top of it, so the serving layer (src/serve/)
+ * drives any compiled spec through the same interpreter as offline
+ * rollouts. Activation scales are calibrated by an
  * FP32 rollout and disk-cached keyed on the spec's content hash
  * (src/trace/calibrate.h).
  */
@@ -105,35 +106,22 @@ struct CompileOptions
 class CompiledModel
 {
   public:
-    /** Per-layer state for difference processing across steps. */
+    /**
+     * Per-layer state for difference processing across steps, for a
+     * batch of B >= 1 concurrent requests (a single request is a batch
+     * of one): every slot holds the requests' tensors stacked along
+     * the batch (NCHW) or row (token-matrix) dimension, one primed flag
+     * per slab. Slab b of every slot always belongs to the same
+     * request; the serving layer edits the batch with appendSlabs /
+     * removeSlab / resetSlab as requests join or finish (see
+     * src/serve/). A default-constructed (empty) state adopts the
+     * batch of the first forward() it is passed.
+     */
     struct DittoState
     {
         std::vector<Int8Tensor> prevIn;   //!< previous input codes
         std::vector<Int32Tensor> prevOut; //!< previous int32 outputs
-        bool primed = false;
-
-        /**
-         * ApproxDitto bookkeeping, one entry per program node (lazily
-         * sized by the first approx pass; exact modes never touch it):
-         * the node's current consecutive-skip run and its total skips.
-         */
-        std::vector<int32_t> consec;
-        std::vector<int64_t> skips;
-    };
-
-    /**
-     * Per-layer state for a *batch* of concurrent Ditto requests:
-     * every slot holds the requests' tensors stacked along the batch
-     * (NCHW) or row (token-matrix) dimension, one primed flag per
-     * slab. Slab b of every slot always belongs to the same request;
-     * the serving layer edits the batch with appendSlabs / removeSlab
-     * / resetSlab as requests join or finish (see src/serve/).
-     */
-    struct BatchDittoState
-    {
-        std::vector<Int8Tensor> prevIn;
-        std::vector<Int32Tensor> prevOut;
-        std::vector<uint8_t> primed;
+        std::vector<uint8_t> primed;      //!< per slab: previous step held
 
         /**
          * Per-slab ApproxDitto enable: slab b may only be skipped when
@@ -304,27 +292,22 @@ class CompiledModel
     int64_t macsPerStep() const { return macsPerStep_; }
 
     /**
-     * One denoising-model evaluation (predicted noise), x shaped
-     * inputShape(). `state` is required (and used) only for
-     * RunMode::QuantDitto; pass the same object for consecutive steps.
+     * One denoising-model evaluation (predicted noise) for a stacked
+     * batch of requests: x is [B, C, H, W] with B >= 1, each slab
+     * shaped inputShape(). Every slab is computed with exactly the
+     * arithmetic it would see as a batch of one — results are bitwise
+     * identical to per-request rollouts at any thread count and batch
+     * size.
+     *
+     * @param state required (and used) only for the Ditto modes; pass
+     *        the same object for consecutive steps. An empty state
+     *        adopts x's batch (all slabs unprimed, approx flags set
+     *        exactly when mode is ApproxDitto); a non-empty one whose
+     *        batch() differs from B is refused.
+     * @param counts per-request tallies (array of B, or null).
      */
     FloatTensor forward(const FloatTensor &x, RunMode mode,
                         DittoState *state, OpCounts *counts) const;
-
-    /**
-     * One evaluation for a stacked batch of requests: x is
-     * [B, C, H, W] and every request's slab is computed with exactly
-     * the arithmetic of forward() on its own tensors — batched results
-     * are bitwise identical to per-request rollouts at any thread
-     * count and batch size.
-     *
-     * @param state required for RunMode::QuantDitto; its batch() must
-     *        equal x's batch dimension.
-     * @param counts per-request tallies (array of B, or null).
-     */
-    FloatTensor forwardBatch(const FloatTensor &x, RunMode mode,
-                             BatchDittoState *state,
-                             OpCounts *counts) const;
 
     /** Full reverse diffusion from the model's own seeded noise. */
     RolloutResult rollout(RunMode mode) const;
@@ -506,8 +489,7 @@ class CompiledModel
 
     /**
      * Execute one vector / structural / reshape node (everything the
-     * engines don't own) on the pass's value table. Shared verbatim
-     * by the single and batched quant executors: every op here is
+     * engines don't own) on the pass's value table. Every op here is
      * batch-general (stacked NCHW and row-stacked token matrices are
      * handled identically), and reshapes carry the bypass payload.
      */
@@ -518,12 +500,13 @@ class CompiledModel
     forwardFp32(const FloatTensor &x,
                 const std::function<void(int, const FloatTensor &)> *obs)
         const;
-    FloatTensor forwardQuant(const FloatTensor &x, bool use_ditto,
-                             bool approx, DittoState *state,
-                             OpCounts *counts) const;
-    FloatTensor forwardQuantBatch(const FloatTensor &x, bool use_ditto,
-                                  bool approx, BatchDittoState *state,
-                                  OpCounts *counts) const;
+    /**
+     * The quantized interpreter: one step of a stacked batch. `state`
+     * is null for QuantDirect and otherwise already sized to x's
+     * batch (forward() validates and adopts).
+     */
+    FloatTensor runQuant(const FloatTensor &x, DittoState *state,
+                         bool approx, OpCounts *counts) const;
 
     ModelSpec spec_;
     CompileOptions opts_;

@@ -102,7 +102,7 @@ BatchEngine::step()
     bool any_approx = false;
     for (const Slot &s : slots_)
         any_approx = any_approx || s.approx;
-    const FloatTensor eps = model_.forwardBatch(
+    const FloatTensor eps = model_.forward(
         x_, any_approx ? RunMode::ApproxDitto : RunMode::QuantDitto,
         &state_, stepCounts_.data());
     x_ = add(x_, affine(eps, -0.15f, 0.0f));

@@ -86,7 +86,7 @@ struct ServeMetrics
 {
     std::array<ClassMetrics, kNumSloClasses> perClass;
 
-    uint64_t steps = 0;          //!< forwardBatch calls across engines
+    uint64_t steps = 0;          //!< batched forward calls, all engines
     uint64_t stepRequests = 0;   //!< sum of batch occupancy over steps
     uint64_t batchesFormed = 0;  //!< idle -> running transitions
     uint64_t shedEntered = 0;    //!< load watcher engaged shedding

@@ -152,7 +152,7 @@ struct ServerStats
 {
     uint64_t submitted = 0;    //!< requests accepted into the queue
     uint64_t completed = 0;    //!< results delivered to the result map
-    uint64_t steps = 0;        //!< forwardBatch calls across engines
+    uint64_t steps = 0;        //!< batched forward calls, all engines
     uint64_t stepRequests = 0; //!< sum of batch occupancy over steps
     uint64_t batchesFormed = 0; //!< idle->running transitions
 

@@ -563,10 +563,10 @@ TEST(JunctionFlow, DeepUnetFoldsSkipConcatAndPoolJunctions)
 TEST(JunctionFlow, BatchMixedPrimedSlabsMatchPerRequestHistories)
 {
     // Continuous-batching shape: three requests advance together, one
-    // is replaced mid-flight (resetSlab), so a single forwardBatch
+    // is replaced mid-flight (resetSlab), so a single batched forward
     // mixes primed slabs (difference path through junction folds and
     // hand-overs) with an unprimed slab (direct path). Every slab must
-    // reproduce its own single-request history bitwise.
+    // reproduce its own single-request (batch-of-one) history bitwise.
     const CompiledModel &m = deepUnet();
     const Shape one = m.inputShape();
     const int64_t slab = one.numel();
@@ -578,7 +578,7 @@ TEST(JunctionFlow, BatchMixedPrimedSlabsMatchPerRequestHistories)
         x[static_cast<size_t>(b)] =
             m.requestNoise(static_cast<uint64_t>(100 + b));
 
-    CompiledModel::BatchDittoState st;
+    CompiledModel::DittoState st;
     st.primed.assign(static_cast<size_t>(bsz), 0);
     FloatTensor xb(slab::withDim0(one, bsz));
     auto stack = [&] {
@@ -590,7 +590,7 @@ TEST(JunctionFlow, BatchMixedPrimedSlabsMatchPerRequestHistories)
     auto step = [&] {
         stack();
         const FloatTensor eps =
-            m.forwardBatch(xb, RunMode::QuantDitto, &st, nullptr);
+            m.forward(xb, RunMode::QuantDitto, &st, nullptr);
         for (int64_t b = 0; b < bsz; ++b) {
             FloatTensor &xi = x[static_cast<size_t>(b)];
             FloatTensor ei(one);
@@ -940,12 +940,12 @@ TEST(ApproxMode, ResetSlabClearsApproxReuseState)
         std::copy(n.data().begin(), n.data().end(),
                   xb.data().begin() + b * slab);
     }
-    CompiledModel::BatchDittoState st;
+    CompiledModel::DittoState st;
     st.primed.assign(static_cast<size_t>(bsz), 0);
     st.approx.assign(static_cast<size_t>(bsz), 1);
     auto step = [&] {
         const FloatTensor eps =
-            m.forwardBatch(xb, RunMode::ApproxDitto, &st, nullptr);
+            m.forward(xb, RunMode::ApproxDitto, &st, nullptr);
         xb = add(xb, affine(eps, -0.15f, 0.0f));
     };
     // Three steps drive slab 1's skip counters to the cap.
@@ -1011,15 +1011,24 @@ TEST(ShapeValidation, RolloutRejectsWrongNoiseShape)
                 testing::ExitedWithCode(1), "negative step count");
 }
 
-TEST(ShapeValidation, ForwardBatchRejectsWrongGeometry)
+TEST(ShapeValidation, ForwardRejectsWrongGeometry)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const ParityPair &p = parityPair();
+    const CompiledModel &m = p.compiled.compiled();
     const FloatTensor bad(Shape{2, 5, 8, 8}); // wrong channel count
-    EXPECT_EXIT(p.compiled.compiled().forwardBatch(
-                    bad, RunMode::QuantDirect, nullptr, nullptr),
+    EXPECT_EXIT(m.forward(bad, RunMode::QuantDirect, nullptr, nullptr),
                 testing::ExitedWithCode(1),
                 "does not stack model inputs");
+    // A state sized for one batch is refused for another.
+    const FloatTensor two(slab::withDim0(m.inputShape(), 2));
+    EXPECT_EXIT(
+        {
+            CompiledModel::DittoState st;
+            st.appendSlabs(3);
+            m.forward(two, RunMode::QuantDitto, &st, nullptr);
+        },
+        testing::ExitedWithCode(1), "DittoState holds 3 slabs");
 }
 
 TEST(ShapeValidation, ServerRejectsMalformedRequests)

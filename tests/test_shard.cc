@@ -208,8 +208,8 @@ scrapeU64(const std::string &json, const std::string &key)
 
 /**
  * A deterministic Parked for (preset, mode): state tensors get their
- * *shapes* from two real forward passes (shapes are a pure function of
- * the compiled program), then every byte — image, codes, outputs,
+ * *shapes* from two real forward passes of a 1-slab state (shapes are
+ * a pure function of the compiled program), then every byte — image, codes, outputs,
  * counters — is overwritten with an integer pattern so the encoded
  * fixture is identical on every host regardless of calibration bits.
  */
@@ -239,16 +239,13 @@ makeFixture(const CompiledModel &m, RunMode mode, uint64_t tag)
     }
 
     if (p.hasState) {
-        CompiledModel::DittoState st;
+        CompiledModel::DittoState st; // adopts x's batch of one
         FloatTensor x = p.image;
         m.forward(x, mode, &st, nullptr);
         m.forward(x, mode, &st, nullptr);
 
         auto &s = p.state;
-        s.prevIn = st.prevIn;
-        s.prevOut = st.prevOut;
-        s.consec = st.consec;
-        s.skips = st.skips;
+        s = st.extractSlab(0);
         s.primed = 1;
         s.approx = p.approx ? 1 : 0;
         for (size_t t = 0; t < s.prevIn.size(); ++t) {
@@ -614,7 +611,7 @@ TEST(ReuseGeneration, ClearBumpsGenerationCountersSurvive)
     ReuseCache cache(rc);
     const PrefixBase base{1, 2, 3, RunMode::QuantDitto};
     cache.store(PrefixKey{base, 2}, FloatTensor(Shape{1, 1, 2, 2}),
-                CompiledModel::BatchDittoState::SlabState{}, false);
+                CompiledModel::DittoState::SlabState{}, false);
     ASSERT_TRUE(cache.lookup(base, 5));
     EXPECT_FALSE(cache.lookup(PrefixBase{9, 9, 9, RunMode::QuantDitto}, 5));
 
